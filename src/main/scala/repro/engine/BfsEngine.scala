@@ -68,13 +68,15 @@ object BfsEngine {
     try {
       var cur = level1(adj, plan).persist()
       var rows = Vector(cur.count())
-      if (rows.last > maxRows) throw BfsOom(1, rows.last)
+      def checkBudget(level: Int): Unit =
+        if (rows.last > maxRows) { cur.unpersist(); throw BfsOom(level, rows.last) }
+      checkBudget(1)
       for (i <- 2 until plan.k) {
         val next = extendLevel(cur, adj, plan, i).persist()
         rows = rows :+ next.count()
         cur.unpersist()
         cur = next
-        if (rows.last > maxRows) throw BfsOom(i, rows.last)
+        checkBudget(i)
       }
       BfsRun(rows.last, rows, cur)
     } finally {

@@ -7,11 +7,11 @@ import repro.setops.{SetOps, WorkCounter}
 
 /** Configuration knobs mirroring the paper's optimization letters (Table 2).
   *
-  * @param edgeParallel      edge- vs vertex-parallel tasks (§5.1 (2))
   * @param orientation       DAG orientation for cliques (opt A)
   * @param edgelistReduction emit each symmetric edge once (opt J)
   * @param buffering         reuse intermediate sets across levels (opt K)
   * @param countingOnly      fuse the two innermost loops into C(n,2) (opt D)
+  *                          when the plan allows it (`SearchPlan.fusedCount`)
   * @param lgs               local graph search for hub patterns (opt E)
   * @param lgsMaxDegree      input-aware threshold: skip LGS if Δ too large
   * @param boundedMerges     early-exit merges at upper symmetry bounds
@@ -20,7 +20,6 @@ import repro.setops.{SetOps, WorkCounter}
   *                          it (Pangolin's extend-then-filter)
   */
 final case class DfsConfig(
-    edgeParallel: Boolean = true,
     orientation: Boolean = true,
     edgelistReduction: Boolean = true,
     buffering: Boolean = true,
@@ -49,7 +48,6 @@ final case class Metrics(
     tasks + o.tasks,
     bufferSavedWork + o.bufferSavedWork,
   )
-  def maxLevelNodes: Long = if (levelNodes.isEmpty) 0 else levelNodes.max
 }
 
 /** Single-threaded plan interpreter, one instance per Spark partition.
@@ -61,10 +59,13 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
   private val k = plan.k
   private val levels = plan.levels
   val wc = new WorkCounter
-  var count = 0L
-  val lvl = new Array[Long](k)
-  var tasksRun = 0L
-  var savedWork = 0L
+  private var count = 0L
+  private val lvl = new Array[Long](k)
+  private var tasksRun = 0L
+  private var savedWork = 0L
+  // Counting-only mode gates fusion the way `buffering` gates reuse: the
+  // plan says fusion is possible, the config says it is wanted.
+  private val fused = plan.fusedCount && cfg.countingOnly
 
   // Levels whose buffer is a reuse source must stay unbounded (a later
   // level may need a different range); all others can merge with an early
@@ -198,7 +199,7 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
   }
 
   private def descend(i: Int): Unit = {
-    if (plan.fusedCount && i == k - 2) { fusedLeaf(i); return }
+    if (fused && i == k - 2) { fusedLeaf(i); return }
     computeCands(i)
     val (lo, hi) = boundedRange(i)
     if (i == k - 1) {
@@ -238,8 +239,16 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
     lg = g
   }
 
-  /** Edge-parallel task: the subtree rooted at edge (v0, v1). */
-  def runEdgeTask(v0: Int, v1: Int): Unit = {
+  /** Runs one task word: `(v0 << 32) | v1` is the subtree rooted at edge
+    * (v0, v1); `(v0 << 32) | 0xffffffff` is an LGS task rooted at v0.
+    */
+  def runTask(t: Long): Unit = {
+    val v0 = (t >>> 32).toInt
+    val v1 = t.toInt
+    if (v1 == -1) runLgsTask(v0) else runEdgeTask(v0, v1)
+  }
+
+  private def runEdgeTask(v0: Int, v1: Int): Unit = {
     tasksRun += 1
     resetTask()
     matched(0) = v0
@@ -252,17 +261,8 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
     if (k == 2) count += 1 else descend(2)
   }
 
-  /** Vertex-parallel task: the subtree rooted at vertex v0. */
-  def runVertexTask(v0: Int): Unit = {
-    tasksRun += 1
-    resetTask()
-    matched(0) = v0
-    if (k == 1) { count += 1; lvl(0) += 1; return }
-    descend(1)
-  }
-
   /** LGS task (hub patterns): search v0's local induced graph (Fig. 7). */
-  def runLgsTask(v0: Int): Unit = {
+  private def runLgsTask(v0: Int): Unit = {
     tasksRun += 1
     resetTask()
     if (g.deg(v0) < k - 1) return
@@ -281,15 +281,9 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
     lg = g
   }
 
-  def metrics(totalVertices: Long): Metrics = {
-    val l = lvl.clone()
-    l(0) = totalVertices
-    Metrics(count, wc.ops, l, tasksRun, savedWork)
-  }
+  /** Metrics of the tasks run so far; level 0 (the vertex set) is left 0. */
+  def metrics: Metrics = Metrics(count, wc.ops, lvl.clone(), tasksRun, savedWork)
 }
-
-/** Output of one Spark partition's worth of tasks. */
-final case class TaskOut(count: Long, work: Long, lvl: Array[Long], tasks: Long, saved: Long)
 
 /** The G²Miner execution engine on Spark: tasks are distributed across the
   * cluster as a Dataset; each partition interprets the pattern's search
@@ -298,91 +292,77 @@ final case class TaskOut(count: Long, work: Long, lvl: Array[Long], tasks: Long,
   */
 object DfsEngine {
 
-  /** Resolve the effective (graph, plan, mode) after input/pattern-aware
-    * optimizations: orientation rewrites clique plans onto the DAG;
-    * LGS switches hub patterns to vertex-rooted local search.
+  /** The effective graph and plan after the input/pattern-aware
+    * optimizations, and the task words [[PlanExecutor.runTask]] runs.
     */
-  private[engine] def resolve(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig):
-      (CSRGraph, SearchPlan, Boolean, Boolean) = {
+  private final case class Job(graph: CSRGraph, plan: SearchPlan, tasks: Array[Long])
+
+  /** Orientation rewrites clique plans onto the DAG; LGS switches hub
+    * patterns to one vertex-rooted local search per vertex; every other
+    * plan runs one task per arc, or per undirected edge under edgelist
+    * reduction.
+    */
+  private def prepare(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig): Job = {
     val orient = cfg.orientation && plan.pattern.isClique && !plan.induced
     val graph = if (orient) g.oriented else g
     val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan
     val useLgs = cfg.lgs && planX.hubRooted && graph.maxDegree <= cfg.lgsMaxDegree && planX.k >= 3
-    (graph, planX, orient, useLgs)
+    val tasks =
+      if (useLgs) Array.tabulate(graph.n)(v => (v.toLong << 32) | 0xffffffffL)
+      else edgeTasks(graph, if (cfg.edgelistReduction) planX.rootEdgeCond else None)
+    Job(graph, planX, tasks)
   }
 
-  /** Task list; vertex tasks encode (v << 32 | 0xffffffff). */
-  private[engine] def buildTasks(graph: CSRGraph, planX: SearchPlan, cfg: DfsConfig,
-                                 orient: Boolean, useLgs: Boolean): Array[Long] = {
-    val vertexParallel = useLgs || !cfg.edgeParallel
-    if (vertexParallel) {
-      Array.tabulate(graph.n)(v => (v.toLong << 32) | 0xffffffffL)
-    } else if (orient) {
-      // every DAG arc is a task; symmetry is subsumed by orientation
-      val out = new Array[Long](graph.numArcs)
-      var o = 0
-      var u = 0
-      while (u < graph.n) {
-        var i = graph.offsets(u)
-        while (i < graph.offsets(u + 1)) { out(o) = (u.toLong << 32) | graph.nbrs(i).toLong; o += 1; i += 1 }
-        u += 1
+  /** One task per arc (u, v), in CSR order; level-1 bounds filter on the
+    * fly. With a root condition (opt J) one task per undirected edge
+    * instead, its endpoints ordered to satisfy the condition up front:
+    * v0 < v1 if `rootCond` is Some(true), v0 > v1 if Some(false). On the
+    * DAG of an oriented clique plan there is no condition: orientation
+    * already subsumes symmetry.
+    */
+  private def edgeTasks(graph: CSRGraph, rootCond: Option[Boolean]): Array[Long] = {
+    val reduce = rootCond.isDefined
+    val ascending = rootCond.getOrElse(true)
+    val out = new Array[Long](if (reduce) graph.numArcs / 2 else graph.numArcs)
+    var o = 0
+    var u = 0
+    while (u < graph.n) {
+      var i = graph.nbrStart(u)
+      while (i < graph.nbrEnd(u)) {
+        val v = graph.nbrs(i)
+        if (!reduce || u < v) {
+          out(o) = if (ascending) (u.toLong << 32) | v else (v.toLong << 32) | u
+          o += 1
+        }
+        i += 1
       }
-      out
-    } else {
-      planX.rootEdgeCond match {
-        case Some(dir) if cfg.edgelistReduction =>
-          // opt J: one task per undirected edge, oriented to satisfy the
-          // (v0, v1) symmetry condition up front
-          graph.canonicalEdges.map { e =>
-            val a = (e >>> 32); val b = e & 0xffffffffL
-            if (dir) (a << 32) | b else (b << 32) | a
-          }
-        case _ =>
-          // both directions; level-1 bounds filter on the fly
-          val out = new Array[Long](graph.numArcs)
-          var o = 0
-          var u = 0
-          while (u < graph.n) {
-            var i = graph.offsets(u)
-            while (i < graph.offsets(u + 1)) { out(o) = (u.toLong << 32) | graph.nbrs(i).toLong; o += 1; i += 1 }
-            u += 1
-          }
-          out
-      }
+      u += 1
     }
+    out
   }
 
-  private def runPartition(graph: CSRGraph, planX: SearchPlan, cfg: DfsConfig, useLgs: Boolean,
-                           tasks: Iterator[Long]): PlanExecutor = {
-    val ex = new PlanExecutor(graph, planX, cfg)
-    tasks.foreach { t =>
-      val v0 = (t >>> 32).toInt
-      val v1 = (t & 0xffffffffL).toInt
-      if (v1 == -1) { if (useLgs) ex.runLgsTask(v0) else ex.runVertexTask(v0) }
-      else ex.runEdgeTask(v0, v1)
-    }
-    ex
+  private def execute(graph: CSRGraph, plan: SearchPlan, cfg: DfsConfig, tasks: Iterator[Long]): Metrics = {
+    val ex = new PlanExecutor(graph, plan, cfg)
+    tasks.foreach(ex.runTask)
+    ex.metrics
   }
+
+  private def withRoots(m: Metrics, n: Int): Metrics = m.copy(levelNodes = n.toLong +: m.levelNodes.tail)
 
   def run(spark: SparkSession, g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Metrics = {
-    val (graph, planX, orient, useLgs) = resolve(g, plan, cfg)
-    val bc = spark.sparkContext.broadcast(graph)
-    val tasks = buildTasks(graph, planX, cfg, orient, useLgs)
+    val Job(graph, planX, tasks) = prepare(g, plan, cfg)
     // Deterministic driver-side shuffle: spreads hub-rooted (heavy) tasks
     // across partitions without paying a Spark shuffle — the single-node
     // stand-in for the chunked round-robin device scheduler (§7.1).
     shuffleInPlace(tasks, seed = 0x5eed)
-    val parallelism = math.max(1, spark.sparkContext.defaultParallelism)
-    val outs = spark.sparkContext.parallelize(tasks.toIndexedSeq, parallelism)
-      .mapPartitions { it =>
-        val ex = runPartition(bc.value, planX, cfg, useLgs, it)
-        Iterator.single(TaskOut(ex.count, ex.wc.ops, ex.lvl, ex.tasksRun, ex.savedWork))
-      }.collect()
-    bc.destroy()
-    val zero = Metrics(0, 0, new Array[Long](planX.k), 0, 0)
-    val m = outs.foldLeft(zero)((acc, t) => acc.combine(Metrics(t.count, t.work, t.lvl, t.tasks, t.saved)))
-    val l = m.levelNodes.clone(); l(0) = g.n.toLong
-    m.copy(levelNodes = l)
+    val sc = spark.sparkContext
+    val bc = sc.broadcast(graph)
+    try {
+      val parts = sc.parallelize(tasks.toIndexedSeq, math.max(1, sc.defaultParallelism))
+        .mapPartitions(it => Iterator.single(execute(bc.value, planX, cfg, it)))
+        .collect()
+      withRoots(parts.reduce(_ combine _), g.n)
+    } finally bc.destroy()
   }
 
   private def shuffleInPlace(a: Array[Long], seed: Long): Unit = {
@@ -400,28 +380,18 @@ object DfsEngine {
     * attribution (bench graphs are small).
     */
   def perTaskWork(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Array[Long] = {
-    val (graph, planX, orient, useLgs) = resolve(g, plan, cfg)
-    val tasks = buildTasks(graph, planX, cfg, orient, useLgs)
+    val Job(graph, planX, tasks) = prepare(g, plan, cfg)
     val ex = new PlanExecutor(graph, planX, cfg)
-    val out = new Array[Long](tasks.length)
-    var i = 0
-    while (i < tasks.length) {
+    tasks.map { t =>
       val before = ex.wc.ops
-      val t = tasks(i)
-      val v0 = (t >>> 32).toInt; val v1 = (t & 0xffffffffL).toInt
-      if (v1 == -1) { if (useLgs) ex.runLgsTask(v0) else ex.runVertexTask(v0) }
-      else ex.runEdgeTask(v0, v1)
-      out(i) = (ex.wc.ops - before) + 1 // +1: task launch floor
-      i += 1
+      ex.runTask(t)
+      ex.wc.ops - before + 1 // +1: task launch floor
     }
-    out
   }
 
-  /** Convenience: local (non-Spark) run for tests and metric derivation. */
+  /** Spark-free run over the same tasks: the tests' reference for [[run]]. */
   def runLocal(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Metrics = {
-    val (graph, planX, orient, useLgs) = resolve(g, plan, cfg)
-    val tasks = buildTasks(graph, planX, cfg, orient, useLgs)
-    val ex = runPartition(graph, planX, cfg, useLgs, tasks.iterator)
-    ex.metrics(g.n.toLong)
+    val Job(graph, planX, tasks) = prepare(g, plan, cfg)
+    withRoots(execute(graph, planX, cfg, tasks.iterator), g.n)
   }
 }

@@ -96,33 +96,36 @@ object MotifFormulas {
     a
   }
 
-  /** Non-induced 4-cycle count: every 4-cycle has two "diagonal" vertex
-    * pairs; a pair (u, w) with c common neighbors closes C(c, 2) cycles.
-    * Computed as a genuine Spark job: wedge generation from the broadcast
-    * CSR, then a groupBy over diagonal pairs.
+  /** Non-induced 4-cycle count and the wedges walked to get it: every
+    * 4-cycle has two "diagonal" vertex pairs, and a pair (u, w) with c
+    * common neighbors closes C(c, 2) cycles. Each wedge u–z–w is reached
+    * once, from its smaller endpoint u, and bumps a per-vertex counter of
+    * w (ESCAPE's wedge closing [82]); a bump from c to c + 1 closes c new
+    * cycles. The wedge count is Σ C(d, 2), one counter step per wedge.
     */
-  def fourCyclesNonInduced(spark: SparkSession, g: CSRGraph): (Long, Long) = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g)
-    val par = math.max(1, spark.sparkContext.defaultParallelism)
-    val wedgeEnds = spark.range(0, g.n, 1, par).as[Long].mapPartitions { it =>
-      val gg = bc.value
-      it.flatMap { zl =>
-        val z = zl.toInt
-        val s = gg.nbrStart(z); val e = gg.nbrEnd(z)
-        for {
-          i <- Iterator.range(s, e)
-          j <- Iterator.range(i + 1, e)
-        } yield (gg.nbrs(i).toLong << 32) | gg.nbrs(j).toLong
+  def fourCyclesNonInduced(g: CSRGraph): (Long, Long) = {
+    val common = new Array[Int](g.n) // common neighbors of (u, w) seen so far
+    val owner = Array.fill(g.n)(-1)  // the u that `common(w)` belongs to
+    var closed = 0L; var wedges = 0L
+    var u = 0
+    while (u < g.n) {
+      var i = g.nbrStart(u)
+      while (i < g.nbrEnd(u)) {
+        val z = g.nbrs(i)
+        var j = g.nbrEnd(z) - 1 // sorted lists: walk down while w > u
+        while (j >= g.nbrStart(z) && g.nbrs(j) > u) {
+          val w = g.nbrs(j)
+          if (owner(w) != u) { owner(w) = u; common(w) = 0 }
+          closed += common(w)
+          common(w) += 1
+          wedges += 1
+          j -= 1
+        }
+        i += 1
       }
+      u += 1
     }
-    val agg = wedgeEnds.toDF("pair").groupBy("pair").count()
-      .selectExpr("sum((count * (count - 1)) div 2) as s")
-      .collect()(0)
-    val sum = if (agg.isNullAt(0)) 0L else agg.getLong(0)
-    val totalWedges = (0 until g.n).map(v => g.deg(v).toLong * (g.deg(v) - 1) / 2).sum
-    bc.destroy()
-    (sum / 2, totalWedges)
+    (closed / 2, wedges)
   }
 
   /** Induced 3-motif counts from closed forms: wedge = W − 3T, triangle = T. */
@@ -144,11 +147,11 @@ object MotifFormulas {
   def fourMotifs(spark: SparkSession, g: CSRGraph): FormulaResult = {
     val wc = new WorkCounter
     val prim = edgePrimitives(g, wc)
-    val (c4, wedges) = fourCyclesNonInduced(spark, g)
+    val (c4, wedges) = fourCyclesNonInduced(g)
     val claws = (0 until g.n).map(v => comb3(g.deg(v))).sum
     val paths = prim.pathsPart - 3 * prim.triangles
     val k4plan = repro.plan.Planner.plan(Patterns.clique(4), induced = false)
-    val k4m = repro.engine.DfsEngine.runLocal(g, k4plan, repro.engine.DfsConfig())
+    val k4m = repro.engine.DfsEngine.run(spark, g, k4plan, repro.engine.DfsConfig())
     val motifs = Patterns.motifs(4)
     val non = motifs.map { p =>
       if (p.isomorphicTo(Patterns.path(4))) paths

@@ -84,6 +84,18 @@ class TablesSpec extends SparkSpec {
     assert(out.contains("G2Miner") && out.contains("[paper]") && out.contains("[sim]"))
   }
 
+  test("tiny tables 4-9 and the multi-GPU text equal the golden output") {
+    // Engine refactors must leave counts, work metrics and every [sim] cell
+    // byte-identical; golden/tiny-tables.txt is the reference output.
+    val l = Tables.tinyLoader
+    val text = Seq(Tables.table4(spark, l), Tables.table5(spark, l), Tables.table6(spark, l),
+      Tables.table7(spark, l), Tables.table8(spark, l), Tables.table9(spark, l)).map(_.render).mkString +
+      Tables.multiGpuScaling(spark, l)._2
+    val in = getClass.getResourceAsStream("/golden/tiny-tables.txt")
+    val golden = try new String(in.readAllBytes(), "UTF-8") finally in.close()
+    assert(text == golden)
+  }
+
   test("paper numbers tables are complete") {
     import PaperNumbers._
     assert(table4.size == 5 * 6)

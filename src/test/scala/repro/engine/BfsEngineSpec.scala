@@ -58,6 +58,14 @@ class BfsEngineSpec extends SparkSpec {
     assert(ex.rows > 3)
   }
 
+  test("BFS OoM releases the cached subgraph list") {
+    val g = TestGraphs.plDense
+    val plan = Planner.plan(Patterns.clique(4), induced = false)
+    val before = spark.sparkContext.getPersistentRDDs.size
+    intercept[BfsEngine.BfsOom](BfsEngine.run(spark, edgeDf(g), plan, maxRows = 3))
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
+  }
+
   test("BFS listing rows are unique subgraphs (triangle listing)") {
     val g = TestGraphs.plMild
     val plan = Planner.plan(Patterns.triangle, induced = false)

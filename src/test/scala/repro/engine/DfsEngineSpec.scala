@@ -30,17 +30,7 @@ class DfsEngineSpec extends AnyFunSuite {
   }
 
   // ---- configuration invariance ---------------------------------------
-  private def allConfigs: Seq[(String, DfsConfig)] = Seq(
-    "default" -> DfsConfig(),
-    "no-orientation" -> DfsConfig(orientation = false),
-    "vertex-parallel" -> DfsConfig(edgeParallel = false),
-    "no-reduction" -> DfsConfig(edgelistReduction = false),
-    "no-buffering" -> DfsConfig(buffering = false),
-    "lgs" -> DfsConfig(lgs = true),
-    "lgs-no-orient" -> DfsConfig(lgs = true, orientation = false),
-    "everything-off" -> DfsConfig(edgeParallel = false, orientation = false,
-      edgelistReduction = false, buffering = false),
-  )
+  import DfsEngineSpec.{allConfigs, fields}
 
   for {
     (cfgName, cfg) <- allConfigs
@@ -88,6 +78,15 @@ class DfsEngineSpec extends AnyFunSuite {
       val listed = NaiveMatcher.countUnique(g, Patterns.diamond, induced = false)
       assert(fused.count == listed, name)
     }
+  }
+
+  test("a fused plan without countingOnly runs exactly as the listing plan") {
+    val g = TestGraphs.plDense
+    val fusedPlan = Planner.plan(Patterns.diamond, induced = false, countingOnly = true)
+    val listPlan = Planner.plan(Patterns.diamond, induced = false)
+    assert(fusedPlan.fusedCount)
+    assert(fields(DfsEngine.runLocal(g, fusedPlan, DfsConfig())) ==
+      fields(DfsEngine.runLocal(g, listPlan, DfsConfig())))
   }
 
   test("fused counting does less set-op work than listing on dense input") {
@@ -152,7 +151,7 @@ class DfsEngineSpec extends AnyFunSuite {
     val w = DfsEngine.perTaskWork(g, plan, DfsConfig())
     val m = DfsEngine.runLocal(g, plan, DfsConfig())
     assert(w.length == m.tasks)
-    assert(w.sum >= m.setOpWork) // +1 launch floor per task
+    assert(w.sum == m.setOpWork + m.tasks) // +1 launch floor per task
     assert(w.forall(_ >= 1))
   }
 
@@ -196,4 +195,20 @@ class DfsEngineSpec extends AnyFunSuite {
     val c4 = DfsEngine.runLocal(g, Planner.plan(Patterns.cycle4, induced = false), DfsConfig())
     assert(c4.count == NaiveMatcher.countUnique(g, Patterns.cycle4, induced = false))
   }
+}
+
+object DfsEngineSpec {
+  def allConfigs: Seq[(String, DfsConfig)] = Seq(
+    "default" -> DfsConfig(),
+    "no-orientation" -> DfsConfig(orientation = false),
+    "no-reduction" -> DfsConfig(edgelistReduction = false),
+    "no-buffering" -> DfsConfig(buffering = false),
+    "lgs" -> DfsConfig(lgs = true),
+    "lgs-no-orient" -> DfsConfig(lgs = true, orientation = false),
+    "everything-off" -> DfsConfig(orientation = false, edgelistReduction = false, buffering = false),
+  )
+
+  /** Every field of `m`, comparable with `==` (`levelNodes` is an array). */
+  def fields(m: Metrics): (Long, Long, Seq[Long], Long, Long) =
+    (m.count, m.setOpWork, m.levelNodes.toSeq, m.tasks, m.bufferSavedWork)
 }

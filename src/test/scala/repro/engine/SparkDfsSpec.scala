@@ -23,13 +23,13 @@ class SparkDfsSpec extends SparkSpec {
   } test(s"Spark run == local run == naive: $pName") {
     val g = TestGraphs.plMild
     val plan = Planner.plan(p, induced)
-    val dist = DfsEngine.run(spark, g, plan, DfsConfig())
-    val local = DfsEngine.runLocal(g, plan, DfsConfig())
-    assert(dist.count == local.count)
-    assert(dist.count == NaiveMatcher.countUnique(g, p, induced))
-    assert(dist.setOpWork == local.setOpWork)
-    assert(dist.levelNodes.toSeq == local.levelNodes.toSeq)
-    assert(dist.tasks == local.tasks)
+    val expected = NaiveMatcher.countUnique(g, p, induced)
+    for ((cfgName, cfg) <- DfsEngineSpec.allConfigs) {
+      val dist = DfsEngine.run(spark, g, plan, cfg)
+      val local = DfsEngine.runLocal(g, plan, cfg)
+      assert(DfsEngineSpec.fields(dist) == DfsEngineSpec.fields(local), cfgName)
+      assert(dist.count == expected, cfgName)
+    }
   }
 
   test("Spark run with LGS agrees on hub patterns") {

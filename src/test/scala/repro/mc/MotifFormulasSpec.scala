@@ -70,11 +70,14 @@ class MotifFormulasSpec extends SparkSpec {
   }
 
   test("4-cycle primitive agrees with direct counting") {
-    for (g <- Seq(TestGraphs.plSkew, TestGraphs.grid34, TestGraphs.cyc9)) {
-      val (c4, _) = MotifFormulas.fourCyclesNonInduced(spark, g)
+    val isolated = repro.graph.CSRGraph.fromEdges(5, Nil)
+    for (g <- Seq(TestGraphs.plSkew, TestGraphs.grid34, TestGraphs.cyc9, TestGraphs.k7,
+                  TestGraphs.star8, isolated)) {
+      val (c4, _) = MotifFormulas.fourCyclesNonInduced(g)
       val direct = NaiveMatcher.countUnique(g, Patterns.cycle4, induced = false)
       assert(c4 == direct)
     }
+    assert(MotifFormulas.fourCyclesNonInduced(TestGraphs.k7)._1 == 105) // C(7,4) · 3
   }
 
   test("3-motif totals: wedge + triangle counts cover all connected triples") {
