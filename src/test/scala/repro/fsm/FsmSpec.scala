@@ -9,19 +9,64 @@ import repro.pattern.{Pattern, Patterns}
   * isomorphisms. Only viable on tiny graphs — which is the point.
   */
 object FsmRef {
-  def run(g: CSRGraph, maxEdges: Int, sigma: Long): Map[String, Long] = {
-    val edges = g.canonicalEdges.map(e => ((e >>> 32).toInt, (e & 0xffffffffL).toInt))
+  private type Edges = Seq[(Int, Int)]
+
+  def run(g: CSRGraph, maxEdges: Int, sigma: Long): Map[String, Long] =
+    (1 to maxEdges).flatMap(k => supports(g, connectedSubsets(edges(g), k)))
+      .filter(_._2 >= sigma).toMap
+
+  /** Per-level sizes: embeddings, candidate patterns, frequent patterns. */
+  final case class Level(embeddings: Long, candidates: Int, frequent: Int)
+
+  /** The levels `Fsm.run` grows. Level 1 holds every edge; level k holds
+    * the connected k-edge subsets that have an edge whose removal leaves a
+    * connected subset whose pattern was frequent at level k-1. Label
+    * pruning drops the edges at vertices whose label occurs fewer than
+    * `sigma` times.
+    */
+  def levels(g: CSRGraph, maxEdges: Int, sigma: Long, labelPruning: Boolean): Vector[Level] = {
+    val freqLabel = g.labels.groupBy(identity).map { case (l, vs) => l -> (vs.length >= sigma) }
+    val es = edges(g).filter { case (u, v) =>
+      !labelPruning || (freqLabel(g.label(u)) && freqLabel(g.label(v)))
+    }
+    var frequent = Set.empty[String]
+    (1 to maxEdges).toVector.map { k =>
+      val prev = frequent
+      val level = connectedSubsets(es, k).filter { s =>
+        k == 1 || s.exists { e =>
+          val rest = s.filterNot(_ == e)
+          connected(rest) && prev.contains(code(g, rest))
+        }
+      }.toVector
+      val sup = supports(g, level.iterator)
+      frequent = sup.filter(_._2 >= sigma).keySet
+      Level(level.size.toLong, sup.size, frequent.size)
+    }
+  }
+
+  private def edges(g: CSRGraph): Edges =
+    g.canonicalEdges.toSeq.map(e => ((e >>> 32).toInt, (e & 0xffffffffL).toInt))
+
+  private def connectedSubsets(es: Edges, k: Int): Iterator[Edges] =
+    es.combinations(k).filter(connected)
+
+  private def vertices(es: Edges): Seq[Int] = es.flatMap(e => Seq(e._1, e._2)).distinct.sorted
+
+  private def local(g: CSRGraph, es: Edges): (Seq[Int], Pattern) = {
+    val verts = vertices(es)
+    val vIdx = verts.zipWithIndex.toMap
+    (verts, Patterns.fromEdges(verts.length, es.map(e => (vIdx(e._1), vIdx(e._2))),
+      Some(verts.map(g.label).toVector)))
+  }
+
+  private def code(g: CSRGraph, es: Edges): String = local(g, es)._2.canonicalCode
+
+  /** MNI support of every pattern among `subsets`, over all isomorphisms. */
+  private def supports(g: CSRGraph, subsets: Iterator[Edges]): Map[String, Long] = {
     val domains = scala.collection.mutable.HashMap.empty[String, Array[scala.collection.mutable.Set[Int]]]
-
-    def subsets(k: Int): Iterator[Seq[(Int, Int)]] =
-      edges.toSeq.combinations(k)
-
-    for (k <- 1 to maxEdges; es <- subsets(k)) {
-      val verts = es.flatMap(e => Seq(e._1, e._2)).distinct.sorted
-      if (verts.length <= 4 && connected(es, verts)) {
-        val vIdx = verts.zipWithIndex.toMap
-        val local = Patterns.fromEdges(verts.length, es.map(e => (vIdx(e._1), vIdx(e._2))),
-          Some(verts.map(g.label).toVector))
+    for (es <- subsets) {
+      val (verts, local) = this.local(g, es)
+      if (verts.length <= 4) {
         val code = local.canonicalCode
         val canon = Fsm.decodePattern(code)
         val dom = domains.getOrElseUpdate(code,
@@ -36,11 +81,11 @@ object FsmRef {
         }
       }
     }
-    domains.map { case (code, dom) => code -> dom.map(_.size.toLong).min }
-      .filter(_._2 >= sigma).toMap
+    domains.map { case (code, dom) => code -> dom.map(_.size.toLong).min }.toMap
   }
 
-  private def connected(es: Seq[(Int, Int)], verts: Seq[Int]): Boolean = {
+  private def connected(es: Edges): Boolean = {
+    val verts = vertices(es)
     if (verts.isEmpty) return false
     var seen = Set(verts.head)
     var changed = true
@@ -93,6 +138,28 @@ class FsmSpec extends SparkSpec {
       assert(got.frequent == want)
     }
 
+  test("FSM == brute force on DataGraphs tiny(mi) (sigma=2, maxEdges=3)") {
+    val g = repro.graph.DataGraphs.tiny(repro.graph.DataGraphs.mi)
+    val got = Fsm.run(spark, g, Fsm.FsmConfig(minSupport = 2, maxEdges = 3))
+    assert(got.frequent == FsmRef.run(g, maxEdges = 3, sigma = 2))
+  }
+
+  for {
+    (name, g, sigma) <- Seq(
+      ("labeledTiny", () => TestGraphs.labeledTiny, 2L),
+      ("labeledTiny", () => TestGraphs.labeledTiny, 4L),
+      ("tiny(mi)", () => repro.graph.DataGraphs.tiny(repro.graph.DataGraphs.mi), 2L),
+    )
+  } test(s"FSM level sizes == per-level reference on $name (sigma=$sigma, maxEdges=3)") {
+    for (pruning <- Seq(true, false)) {
+      val m = Fsm.run(spark, g(), Fsm.FsmConfig(minSupport = sigma, maxEdges = 3, labelPruning = pruning)).metrics
+      val want = FsmRef.levels(g(), maxEdges = 3, sigma, pruning)
+      assert(m.levelEmbeddings == want.map(_.embeddings), s"labelPruning=$pruning")
+      assert(m.candidatePatterns == want.map(_.candidates), s"labelPruning=$pruning")
+      assert(m.frequentPatterns == want.map(_.frequent), s"labelPruning=$pruning")
+    }
+  }
+
   test("label pruning does not change results (opt N is exact)") {
     val g = TestGraphs.labeledTiny
     val a = Fsm.run(spark, g, Fsm.FsmConfig(minSupport = 3, maxEdges = 3, labelPruning = true))
@@ -126,7 +193,9 @@ class FsmSpec extends SparkSpec {
 
   test("metrics: level embeddings monotone bookkeeping and label counts") {
     val g = TestGraphs.labeledTiny
+    val cached = spark.sparkContext.getPersistentRDDs.keySet
     val res = Fsm.run(spark, g, Fsm.FsmConfig(minSupport = 2, maxEdges = 3))
+    assert(spark.sparkContext.getPersistentRDDs.keySet == cached)
     val m = res.metrics
     assert(m.levelEmbeddings.length == 3)
     assert(m.levelEmbeddings.head == g.numEdges || m.levelEmbeddings.head <= g.numEdges)
