@@ -1,29 +1,30 @@
 package repro.fsm
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
 import repro.pattern.{Pattern, Patterns}
 
 /** Frequent Subgraph Mining (k-FSM) by edge extension with MNI ("domain")
   * support, the paper's §5.2/§7.2 workload.
   *
-  * The embedding lists live in Spark Datasets and grow level by level
-  * (bounded BFS, optimization M): the partition count is sized so each
-  * "block" of embeddings fits the simulated device budget. Support is
-  * computed with DataFrame aggregation (min over per-position distinct
-  * vertex counts, expanded over pattern automorphisms so MNI matches the
-  * GraMi definition). Label-frequency pruning (optimization N) removes
-  * vertices whose label cannot appear in any frequent pattern.
+  * Embeddings grow one edge per level over a broadcast CSR. Each Spark
+  * partition holds one block of packed embeddings (bounded BFS,
+  * optimization M) and extends the embeddings of frequent patterns in
+  * place, so nothing is shuffled. Every connected edge subset is produced
+  * once, from one canonical parent (reverse search): a child S = P + e is
+  * kept only if e is the largest data edge among the edges e' of S whose
+  * removal leaves a connected subset of a pattern frequent one level down.
+  * Each partition returns, per pattern, the data vertices seen at each
+  * automorphism orbit; the driver unions them, and the support is the
+  * smallest orbit domain (GraMi's MNI). Label-frequency pruning
+  * (optimization N) removes vertices whose label cannot appear in any
+  * frequent pattern.
   */
 object Fsm {
 
-  final case class FsmConfig(
-      minSupport: Long,
-      maxEdges: Int = 3,
-      labelPruning: Boolean = true,
-      blockRows: Long = 1L << 16,
-  )
+  final case class FsmConfig(minSupport: Long, maxEdges: Int = 3, labelPruning: Boolean = true)
 
   final case class FsmMetrics(
       levelEmbeddings: Vector[Long],    // canonical embeddings per level
@@ -43,94 +44,188 @@ object Fsm {
   final case class FsmResult(frequent: Map[String, Long], allSupports: Map[String, Long],
                              metrics: FsmMetrics)
 
-  /** One embedding: pattern canonical code + data vertices by position.
-    * (Public: Spark's generated encoders must be able to construct it.)
+  /** One partition's embeddings at one level. Embedding e is the `stride`
+    * ints from `e * stride`: its pattern's index into `codes`, then its
+    * data vertices in canonical position order. `orbits(p)(i)` is the
+    * smallest position in the automorphism orbit of position i of pattern p.
     */
-  final case class Emb(code: String, vs: Seq[Int])
+  private final case class Block(codes: Array[String], orbits: Array[Array[Int]], stride: Int, data: Array[Int])
 
-  /** All isomorphisms from `a` onto `b` (same n; maps position i of a to
-    * position iso(i) of b) respecting edges and labels.
+  /** An isomorphism from `a` onto `b`: position i of `a` is position
+    * `iso(i)` of `b`. Any one serves: MNI domains are unions over orbits.
     */
-  def allIsomorphisms(a: Pattern, b: Pattern): Vector[Vector[Int]] =
-    (0 until a.n).toVector.permutations.filter { phi =>
+  private def isomorphism(a: Pattern, b: Pattern): Array[Int] =
+    (0 until a.n).permutations.find { phi =>
       (0 until a.n).forall { i =>
         a.labels.get(i) == b.labels.get(phi(i)) &&
           (0 until a.n).forall(j => a.isEdge(i, j) == b.isEdge(phi(i), phi(j)))
       }
-    }.toVector
+    }.get.toArray
 
-  /** A resolved extension target: the child's canonical code plus every
-    * isomorphism from the canonical child pattern onto the *as-grown*
-    * child, so embedding tuples can be re-ordered into canonical position
-    * order (and the lexicographic min over all isomorphisms is the unique
-    * canonical embedding tuple, deduplicating automorphic rediscoveries).
+  /** `p` without its edge (i, j), dropping a vertex the removal isolates;
+    * None if what is left is disconnected.
     */
-  final case class Ext(code: String, isos: Vector[Vector[Int]]) {
-    def canonicalTuple(vs: Array[Int]): Seq[Int] = {
-      if (isos.length == 1) {
-        val phi = isos.head
-        val out = new Array[Int](phi.length)
-        var i = 0
-        while (i < phi.length) { out(i) = vs(phi(i)); i += 1 }
-        return scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
-      }
-      isos.iterator.map(phi => phi.map(vs): Seq[Int]).min(SeqIntOrdering)
-    }
+  private def without(p: Pattern, i: Int, j: Int): Option[Pattern] = {
+    val es = p.edges.filterNot(_ == ((i, j)))
+    val keep = (0 until p.n).filter(v => es.exists(e => e._1 == v || e._2 == v))
+    val at = keep.zipWithIndex.toMap
+    val q = Patterns.fromEdges(keep.length, es.map(e => (at(e._1), at(e._2))), p.labels.map(ls => keep.map(ls).toVector))
+    Some(q).filter(_.isConnected)
   }
 
-  private object SeqIntOrdering extends Ordering[Seq[Int]] {
-    def compare(x: Seq[Int], y: Seq[Int]): Int = {
-      var i = 0
-      while (i < x.length && i < y.length) {
-        val c = Integer.compare(x(i), y(i))
-        if (c != 0) return c
-        i += 1
-      }
-      Integer.compare(x.length, y.length)
-    }
-  }
+  /** An undirected data edge as a Long, ordered by (min, max). */
+  @inline private def edgeKey(a: Int, b: Int): Long =
+    (math.min(a, b).toLong << 32) | math.max(a, b)
 
-  /** Executor-side cache of pattern machinery, keyed by canonical code.
-    * `patterns` must map each code to its *canonical* pattern (the one
-    * `decodePattern` yields), because embedding tuples are stored in
-    * canonical position order.
+  /** Grows blocks by one edge on one task. Pattern machinery is cached per
+    * canonical code.
+    *
+    * @param frequent codes frequent at the level being extended
     */
-  private final class PatternCache(patterns: Map[String, Pattern]) extends Serializable {
-    @transient private lazy val extCache =
-      scala.collection.mutable.HashMap.empty[(String, Int, Int, Int), Ext]
+  private final class Grower(g: CSRGraph, frequent: Set[String]) {
 
-    def pattern(code: String): Pattern = patterns(code)
+    private final class Ext(val shape: Shape, val iso: Array[Int])
 
-    /** Extension: add edge (i, j) to the canonical pattern of `code`;
-      * j == p.n means a new vertex with label `newLabel`.
+    private final class Shape(val code: String) {
+      val p: Pattern = decodePattern(code)
+      val orbit: Array[Int] = {
+        val auts = p.automorphisms
+        Array.tabulate(p.n)(i => auts.map(_(i)).min)
+      }
+      /** Canonical edges (parentI(q), parentJ(q)) whose removal leaves a
+        * connected subset of a frequent pattern: the edges by which a
+        * canonical parent may have grown into this shape.
+        */
+      lazy val (parentI, parentJ) = p.edges
+        .filter { case (i, j) => without(p, i, j).exists(q => frequent(q.canonicalCode)) }
+        .toArray.unzip
+      private val exts = mutable.LongMap.empty[Ext]
+
+      /** Add edge (i, j); j == p.n is a new vertex labeled `label`. */
+      def extend(i: Int, j: Int, label: Int): Ext =
+        exts.getOrElseUpdate(((i * 16 + j).toLong << 32) | (label & 0xffffffffL), {
+          val grown = p.withEdge(i, j)
+          resolve(if (j < p.n) grown else grown.copy(labels = Some(p.labels.get :+ label)))
+        })
+    }
+
+    private val shapes = mutable.HashMap.empty[String, Shape]
+    private def shape(code: String): Shape = shapes.getOrElseUpdate(code, new Shape(code))
+    private def resolve(grown: Pattern): Ext = {
+      val s = shape(grown.canonicalCode)
+      new Ext(s, isomorphism(s.p, grown))
+    }
+
+    private final class Out(stride: Int) {
+      private val index = mutable.LinkedHashMap.empty[Shape, Int]
+      private val data = new mutable.ArrayBuilder.ofInt
+      def add(s: Shape, t: Array[Int]): Unit = {
+        data += index.getOrElseUpdate(s, index.size)
+        var c = 0
+        while (c < stride - 1) { data += (if (c < s.p.n) t(c) else -1); c += 1 }
+      }
+      def result: Block = {
+        val ss = index.keys.toArray
+        Block(ss.map(_.code), ss.map(_.orbit), stride, data.result())
+      }
+    }
+
+    /** Level 1: slice `part` of `parts` of the canonical edges. */
+    def first(part: Int, parts: Int): Block = {
+      val es = g.canonicalEdges
+      val out = new Out(3)
+      val byLabels = mutable.HashMap.empty[(Int, Int), Ext]
+      val t = new Array[Int](2)
+      for (x <- (es.length.toLong * part / parts).toInt until (es.length.toLong * (part + 1) / parts).toInt) {
+        val (u, v) = ((es(x) >>> 32).toInt, es(x).toInt)
+        val (lu, lv) = (g.label(u), g.label(v))
+        val ext = byLabels.getOrElseUpdate((lu, lv), resolve(Patterns.fromEdges(2, Seq((0, 1)), Some(Vector(lu, lv)))))
+        t(0) = if (ext.iso(0) == 0) u else v
+        t(1) = if (ext.iso(1) == 0) u else v
+        out.add(ext.shape, t)
+      }
+      out.result
+    }
+
+    /** The next level: every canonical child of each embedding of a
+      * frequent pattern in `b`.
       */
-    def extend(code: String, i: Int, j: Int, newLabel: Int): Ext =
-      extCache.getOrElseUpdate((code, i, j, newLabel), {
-        val p = patterns(code)
-        val p2 =
-          if (j == p.n) {
-            val grown = p.withEdge(i, j)
-            Pattern(grown.n, grown.adj, Some(grown.labels.get.dropRight(1) :+ newLabel))
-          } else p.withEdge(i, j)
-        val code2 = p2.canonicalCode
-        Ext(code2, allIsomorphisms(decodePattern(code2), p2))
-      })
+    def grow(b: Block): Block = {
+      val parents = b.codes.map(c => if (frequent(c)) shape(c) else null)
+      val out = new Out(b.stride + 1)
+      val vs = new Array[Int](b.stride - 1)
+      val t = new Array[Int](b.stride)
+
+      // keep the child iff the added edge (a, w) is its largest parent edge
+      def emit(ext: Ext, n: Int, a: Int, w: Int): Unit = {
+        var c = 0
+        while (c < ext.iso.length) { t(c) = if (ext.iso(c) == n) w else vs(ext.iso(c)); c += 1 }
+        val (pi, pj) = (ext.shape.parentI, ext.shape.parentJ)
+        val key = edgeKey(a, w)
+        var q = 0
+        while (q < pi.length && edgeKey(t(pi(q)), t(pj(q))) <= key) q += 1
+        if (q == pi.length) out.add(ext.shape, t)
+      }
+
+      var e = 0
+      while (e < b.data.length) {
+        val s = parents(b.data(e))
+        if (s != null) {
+          val n = s.p.n
+          System.arraycopy(b.data, e + 1, vs, 0, n)
+          var i = 0
+          while (i < n) {
+            val dv = vs(i)
+            var x = g.nbrStart(dv)
+            while (x < g.nbrEnd(dv)) {
+              val w = g.nbrs(x)
+              var j = 0
+              while (j < n && vs(j) != w) j += 1
+              if (j == n) emit(s.extend(i, n, g.label(w)), n, dv, w)
+              else if (i < j && !s.p.isEdge(i, j)) emit(s.extend(i, j, -1), n, dv, w)
+              x += 1
+            }
+            i += 1
+          }
+        }
+        e += b.stride
+      }
+      out.result
+    }
   }
 
-  def singleEdgePattern(la: Int, lb: Int): Pattern = {
-    val (a, b) = (math.min(la, lb), math.max(la, lb))
-    Patterns.fromEdges(2, Seq((0, 1)), Some(Vector(a, b)))
+  /** `a` sorted, without repeated values (sorts `a` in place). */
+  private def sortedSet(a: Array[Int]): Array[Int] = {
+    java.util.Arrays.sort(a)
+    var n = 0
+    for (x <- a.indices) if (x == 0 || a(x) != a(x - 1)) { a(n) = a(x); n += 1 }
+    java.util.Arrays.copyOf(a, n)
+  }
+
+  /** A block's embedding count and, per pattern code, the data vertices
+    * seen at each orbit (one sorted set per orbit, in orbit order).
+    */
+  private def domains(b: Block): (Long, Map[String, Array[Array[Int]]]) = {
+    val seen = b.orbits.map(o => Array.fill(o.length)(new mutable.ArrayBuilder.ofInt))
+    var e = 0
+    while (e < b.data.length) {
+      val p = b.data(e)
+      val orbit = b.orbits(p)
+      var i = 0
+      while (i < orbit.length) { seen(p)(orbit(i)) += b.data(e + 1 + i); i += 1 }
+      e += b.stride
+    }
+    val byCode = b.codes.indices.map { p =>
+      b.codes(p) -> b.orbits(p).indices.filter(i => b.orbits(p)(i) == i).map(i => sortedSet(seen(p)(i).result())).toArray
+    }
+    (b.data.length.toLong / b.stride, byCode.toMap)
   }
 
   def run(spark: SparkSession, g: CSRGraph, cfg: FsmConfig): FsmResult = {
-    import spark.implicits._
     require(g.labeled, "FSM requires a labeled graph")
 
     // --- optimization N: label-frequency pruning ----------------------
-    val labelFreq: Map[Int, Long] = {
-      val df = CSRGraph.toLabelDf(spark, g)
-      df.groupBy("label").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    }
+    val labelFreq: Map[Int, Long] = g.labels.groupMapReduce(identity)(_ => 1L)(_ + _)
     val frequentLabels = labelFreq.filter(_._2 >= cfg.minSupport).keySet
     val mineGraph =
       if (!cfg.labelPruning) g
@@ -147,145 +242,40 @@ object Fsm {
         CSRGraph.fromEdges(keep.length, es.toIndexedSeq, keep.map(g.label))
       }
 
-    val bc = spark.sparkContext.broadcast(mineGraph)
-    var patterns = Map.empty[String, Pattern]
-    var frequent = Map.empty[String, Long]
+    val sc = spark.sparkContext
+    val bc = sc.broadcast(mineGraph)
+    val parts = math.max(1, sc.defaultParallelism)
+    val cached = mutable.ArrayBuffer.empty[RDD[Block]]
     var allSupports = Map.empty[String, Long]
     var levelEmb = Vector.empty[Long]
     var candPats = Vector.empty[Int]
     var freqPats = Vector.empty[Int]
     var extWork = 0L
-
-    // --- level 1: single-edge patterns --------------------------------
-    val lvl1 = {
-      val gg = mineGraph
-      val embs = Vector.newBuilder[Emb]
-      val extCache = scala.collection.mutable.HashMap.empty[(Int, Int), Ext]
-      var u = 0
-      while (u < gg.n) {
-        var i = gg.nbrStart(u)
-        while (i < gg.nbrEnd(u)) {
-          val v = gg.nbrs(i)
-          if (u < v) {
-            val (la, lb) = (gg.label(u), gg.label(v))
-            val ext = extCache.getOrElseUpdate((la, lb), {
-              val grown = Patterns.fromEdges(2, Seq((0, 1)), Some(Vector(la, lb)))
-              val code = grown.canonicalCode
-              Ext(code, allIsomorphisms(decodePattern(code), grown))
-            })
-            if (!patterns.contains(ext.code)) patterns += ext.code -> decodePattern(ext.code)
-            embs += Emb(ext.code, ext.canonicalTuple(Array(u, v)))
-          }
-          i += 1
+    try {
+      var cur = sc.parallelize(0 until parts, parts).map(p => new Grower(bc.value, Set.empty).first(p, parts))
+      var freqCodes = Set.empty[String]
+      for (level <- 1 to cfg.maxEdges) {
+        if (level > 1) { val fc = freqCodes; cur = cur.map(b => new Grower(bc.value, fc).grow(b)) }
+        // the next level grows from this one's blocks where they are
+        if (level < cfg.maxEdges) cached += cur.persist()
+        val doms = cur.map(domains).collect()
+        val sup = doms.flatMap(_._2).groupMap(_._1)(_._2).map { case (code, ds) =>
+          code -> ds.head.indices.map(o => sortedSet(ds.flatMap(_(o))).length.toLong).min
         }
-        u += 1
+        extWork += (if (level == 1) mineGraph.numArcs.toLong else estimateExtensionWork(levelEmb.last, mineGraph))
+        levelEmb = levelEmb :+ doms.map(_._1).sum
+        candPats = candPats :+ sup.size
+        freqCodes = sup.filter(_._2 >= cfg.minSupport).keySet
+        freqPats = freqPats :+ freqCodes.size
+        allSupports ++= sup
       }
-      extWork += gg.numArcs.toLong
-      embs.result()
+    } finally {
+      cached.foreach(_.unpersist())
+      bc.destroy()
     }
-
-    def supports(embs: org.apache.spark.sql.Dataset[Emb]): Map[String, Long] = {
-      // MNI domain of position i is the union over the automorphism orbit
-      // of i of the values in those positions — so aggregate (code, orbit,
-      // vertex) triples instead of exploding per automorphism. Int keys
-      // keep the shuffle narrow.
-      val codeIds: Map[String, Int] = patterns.keys.toSeq.sorted.zipWithIndex.toMap
-      val idCodes: Map[Int, String] = codeIds.map(_.swap)
-      val orbitOf: Map[String, Array[Int]] = patterns.map { case (c, p) =>
-        val auts = p.automorphisms
-        val orbitSets = (0 until p.n).map(i => auts.map(_(i)).toSet)
-        val distinctOrbits = orbitSets.distinct
-        c -> (0 until p.n).map(i => distinctOrbits.indexOf(orbitSets(i))).toArray
-      }
-      import spark.implicits._
-      val triples = embs.mapPartitions { it =>
-        it.flatMap { emb =>
-          val orb = orbitOf(emb.code)
-          val cid = codeIds(emb.code)
-          emb.vs.indices.iterator.map(i => (cid, orb(i), emb.vs(i)))
-        }
-      }.toDF("cid", "orbit", "v")
-      triples
-        .groupBy("cid", "orbit").agg(countDistinct("v").as("dom"))
-        .groupBy("cid").agg(min("dom").as("support"))
-        .collect().map(r => idCodes(r.getInt(0)) -> r.getLong(1)).toMap
-    }
-
-    // Partition count models the bounded-BFS blocks (optimization M).
-    def blocks(rows: Long): Int = math.max(1, math.min(256, (rows / math.max(1, cfg.blockRows)).toInt + 1))
-
-    var cur: org.apache.spark.sql.Dataset[Emb] = spark.createDataset(lvl1)
-      .repartition(blocks(lvl1.size))
-      .persist()
-    var curRows = cur.count()
-    levelEmb = levelEmb :+ curRows
-    candPats = candPats :+ patterns.size
-
-    var lvl1Sup = supports(cur)
-    var freqCodes = lvl1Sup.filter(_._2 >= cfg.minSupport).keySet
-    allSupports ++= lvl1Sup
-    frequent ++= lvl1Sup.filter { case (c, s) => s >= cfg.minSupport }
-    freqPats = freqPats :+ freqCodes.size
-
-    // --- levels 2..maxEdges: edge extension ---------------------------
-    for (level <- 2 to cfg.maxEdges) {
-      val fc = freqCodes
-      val prev = cur.filter(e => fc.contains(e.code))
-      val cache = new PatternCache(patterns)
-      val extended = prev.mapPartitions { it =>
-        val out = it.flatMap { emb =>
-          val gg = bc.value
-          val p = cache.pattern(emb.code)
-          val vsArr = emb.vs.toArray
-          val exts = Vector.newBuilder[Emb]
-          var i = 0
-          while (i < p.n) {
-            val dv = vsArr(i)
-            var x = gg.nbrStart(dv)
-            while (x < gg.nbrEnd(dv)) {
-              val w = gg.nbrs(x)
-              val j = vsArr.indexOf(w)
-              if (j < 0) {
-                val ext = cache.extend(emb.code, i, p.n, gg.label(w))
-                exts += Emb(ext.code, ext.canonicalTuple(vsArr :+ w))
-              } else if (j != i && i < j && !p.isEdge(i, j)) {
-                val ext = cache.extend(emb.code, i, j, -1)
-                exts += Emb(ext.code, ext.canonicalTuple(vsArr))
-              }
-              x += 1
-            }
-            i += 1
-          }
-          exts.result()
-        }
-        out
-      }.distinct()
-
-      // register new patterns discovered at this level (codes are produced
-      // executor-side; rebuild their Pattern objects on the driver)
-      val newCodes = extended.select("code").distinct().as[String].collect()
-      val known = patterns.keySet
-      val fresh = newCodes.filterNot(known.contains)
-      fresh.foreach { code => patterns += code -> decodePattern(code) }
-
-      cur.unpersist()
-      cur = extended.repartition(blocks(math.max(1, curRows * 8))).persist()
-      curRows = cur.count()
-      extWork += estimateExtensionWork(levelEmb.last, mineGraph)
-      levelEmb = levelEmb :+ curRows
-      candPats = candPats :+ newCodes.length
-
-      val sup = supports(cur)
-      freqCodes = sup.filter(_._2 >= cfg.minSupport).keySet
-      allSupports ++= sup
-      frequent ++= sup.filter { case (_, s) => s >= cfg.minSupport }
-      freqPats = freqPats :+ freqCodes.size
-    }
-    cur.unpersist()
-    bc.destroy()
 
     FsmResult(
-      frequent,
+      allSupports.filter(_._2 >= cfg.minSupport),
       allSupports,
       FsmMetrics(levelEmb, extWork, candPats, freqPats, labelFreq.size, frequentLabels.size),
     )
@@ -296,6 +286,11 @@ object Fsm {
     */
   private def estimateExtensionWork(embeddings: Long, g: CSRGraph): Long =
     embeddings * 3L * math.max(1L, 2L * g.numEdges / math.max(1, g.n))
+
+  def singleEdgePattern(la: Int, lb: Int): Pattern = {
+    val (a, b) = (math.min(la, lb), math.max(la, lb))
+    Patterns.fromEdges(2, Seq((0, 1)), Some(Vector(a, b)))
+  }
 
   /** Rebuild a Pattern from its canonical code `n|bits:labels`. */
   def decodePattern(code: String): Pattern = {

@@ -22,8 +22,9 @@ final case class LevelSpec(
 }
 
 /** A pattern-specific search plan: the artifact the paper's code generator
-  * turns into CUDA; here it is interpreted by [[repro.engine.DfsEngine]]
-  * and compiled into a Catalyst plan by [[repro.engine.BfsEngine]].
+  * turns into CUDA; here it is interpreted by [[repro.engine.DfsEngine]].
+  * The tests also compile it into DataFrame joins, a BFS reference for
+  * the DFS per-level tree sizes.
   *
   * @param bufferReuse for level i, `Some(j)` if W_i is identical to W_j
   *                    (j < i) and can be reused without recomputation —

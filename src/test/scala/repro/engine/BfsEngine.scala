@@ -1,17 +1,19 @@
 package repro.engine
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.graph.CSRGraph
 import repro.plan.SearchPlan
 
 /** Level-by-level BFS exploration (Algorithm 2) compiled from a
   * [[SearchPlan]] into a chain of DataFrame joins — i.e. the paper's
   * "code generation" realized as Catalyst logical-plan generation.
   *
-  * Each level materializes the full subgraph list (like Pangolin), so the
-  * engine reports per-level row counts; the cost model turns those into
-  * memory footprints and OoM verdicts. Setting `maxRows` makes the run
-  * fail fast with [[BfsOom]] like a device running out of memory.
+  * Each level materializes the full subgraph list (like Pangolin). The
+  * tests use it as the BFS reference: its per-level row counts must equal
+  * the DFS `levelNodes` that `CostModel` charges Pangolin and PBE for.
+  * Setting `maxRows` makes the run fail fast with [[BfsOom]] like a device
+  * running out of memory.
   */
 object BfsEngine {
 
@@ -58,33 +60,40 @@ object BfsEngine {
   }
 
   /** Run BFS exploration. `edges` is the canonical (src < dst) edge
-    * DataFrame; both directions are derived here.
+    * DataFrame; both directions are derived here. Every level is cached
+    * only while the run lasts: `last` is recomputed from its lineage when
+    * it is used.
     */
   def run(spark: SparkSession, edges: DataFrame, plan: SearchPlan,
           maxRows: Long = Long.MaxValue): BfsRun = {
-    val adj = edges.select(col("src").as("s"), col("dst").as("d"))
-      .union(edges.select(col("dst").as("s"), col("src").as("d")))
-      .persist()
+    val cached = scala.collection.mutable.ArrayBuffer.empty[DataFrame]
+    def persisted(df: DataFrame): DataFrame = { cached += df; df.persist() }
     try {
-      var cur = level1(adj, plan).persist()
+      val adj = persisted(edges.select(col("src").as("s"), col("dst").as("d"))
+        .union(edges.select(col("dst").as("s"), col("src").as("d"))))
+      var cur = persisted(level1(adj, plan))
       var rows = Vector(cur.count())
       def checkBudget(level: Int): Unit =
-        if (rows.last > maxRows) { cur.unpersist(); throw BfsOom(level, rows.last) }
+        if (rows.last > maxRows) throw BfsOom(level, rows.last)
       checkBudget(1)
       for (i <- 2 until plan.k) {
-        val next = extendLevel(cur, adj, plan, i).persist()
-        rows = rows :+ next.count()
-        cur.unpersist()
-        cur = next
+        cur = persisted(extendLevel(cur, adj, plan, i))
+        rows = rows :+ cur.count()
         checkBudget(i)
       }
       BfsRun(rows.last, rows, cur)
     } finally {
-      adj.unpersist()
+      cached.foreach(_.unpersist())
     }
   }
 
-  /** Count-only helper returning just the match count. */
-  def count(spark: SparkSession, edges: DataFrame, plan: SearchPlan): Long =
-    run(spark, edges, plan).count
+  /** Canonical edge DataFrame (src < dst) for the BFS engine and the oracle. */
+  def toEdgeDf(spark: SparkSession, g: CSRGraph): DataFrame = {
+    import org.apache.spark.sql.types._
+    val rows = g.canonicalEdges.map { e =>
+      Row((e >>> 32).toInt, (e & 0xffffffffL).toInt)
+    }
+    val schema = StructType(Seq(StructField("src", IntegerType, false), StructField("dst", IntegerType, false)))
+    spark.createDataFrame(spark.sparkContext.parallelize(rows.toIndexedSeq, 8), schema)
+  }
 }

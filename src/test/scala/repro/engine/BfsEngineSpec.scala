@@ -11,7 +11,7 @@ import repro.plan.Planner
   */
 class BfsEngineSpec extends SparkSpec {
 
-  private def edgeDf(g: CSRGraph) = CSRGraph.toEdgeDf(spark, g)
+  private def edgeDf(g: CSRGraph) = BfsEngine.toEdgeDf(spark, g)
 
   for {
     (pName, p, induced) <- Seq(
@@ -64,6 +64,13 @@ class BfsEngineSpec extends SparkSpec {
     val before = spark.sparkContext.getPersistentRDDs.size
     intercept[BfsEngine.BfsOom](BfsEngine.run(spark, edgeDf(g), plan, maxRows = 3))
     assert(spark.sparkContext.getPersistentRDDs.size == before)
+  }
+
+  test("BFS run releases every cached level") {
+    val before = spark.sparkContext.getPersistentRDDs.size
+    val bfs = BfsEngine.run(spark, edgeDf(TestGraphs.plMild), Planner.plan(Patterns.diamond, induced = false))
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
+    assert(bfs.last.count() == bfs.count)
   }
 
   test("BFS listing rows are unique subgraphs (triangle listing)") {

@@ -12,7 +12,7 @@ import repro.plan.Planner
   */
 class OracleSpec extends SparkSpec {
 
-  private def edges(g: CSRGraph) = CSRGraph.toEdgeDf(spark, g)
+  private def edges(g: CSRGraph) = BfsEngine.toEdgeDf(spark, g)
 
   private def sparkCount(v: Long) = {
     import spark.implicits._
